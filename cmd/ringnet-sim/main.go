@@ -9,9 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	ringnet "repro"
@@ -19,28 +20,43 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run executes one scenario configured by args and writes its report to
+// w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ringnet-sim", flag.ContinueOnError)
 	var (
-		brs     = flag.Int("brs", 3, "border routers in the top ring")
-		agrings = flag.Int("agrings", 2, "access gateway rings")
-		agsize  = flag.Int("agsize", 2, "gateways per AG ring")
-		aps     = flag.Int("aps", 1, "access proxies per gateway")
-		mhs     = flag.Int("mhs", 2, "mobile hosts per proxy")
-		figure1 = flag.Bool("figure1", false, "use the paper's Figure-1 topology")
+		brs     = fs.Int("brs", 3, "border routers in the top ring")
+		agrings = fs.Int("agrings", 2, "access gateway rings")
+		agsize  = fs.Int("agsize", 2, "gateways per AG ring")
+		aps     = fs.Int("aps", 1, "access proxies per gateway")
+		mhs     = fs.Int("mhs", 2, "mobile hosts per proxy")
+		figure1 = fs.Bool("figure1", false, "use the paper's Figure-1 topology")
 
-		sources = flag.Int("sources", 1, "multicast sources (≤ BRs)")
-		rate    = flag.Float64("rate", 200, "messages per second per source (λ)")
-		count   = flag.Int("count", 500, "messages per source")
-		payload = flag.Int("payload", 64, "payload bytes")
+		sources = fs.Int("sources", 1, "multicast sources (≤ BRs)")
+		rate    = fs.Float64("rate", 200, "messages per second per source (λ)")
+		count   = fs.Int("count", 500, "messages per source")
+		payload = fs.Int("payload", 64, "payload bytes")
 
-		loss    = flag.Float64("loss", 0, "wired link loss probability")
-		wless   = flag.Float64("wireless-loss", 0.01, "wireless link loss probability")
-		dwell   = flag.Duration("dwell", 0, "mean MH dwell time (0 disables mobility)")
-		reserve = flag.Bool("reserve", false, "multicast path reservation on handoff")
-		members = flag.Bool("membership", false, "run the heartbeat membership protocol")
-		seed    = flag.Uint64("seed", 1, "deterministic seed")
-		quiet   = flag.Bool("q", false, "metrics only (skip hierarchy dump)")
+		loss    = fs.Float64("loss", 0, "wired link loss probability")
+		wless   = fs.Float64("wireless-loss", 0.01, "wireless link loss probability")
+		dwell   = fs.Duration("dwell", 0, "mean MH dwell time (0 disables mobility)")
+		reserve = fs.Bool("reserve", false, "multicast path reservation on handoff")
+		members = fs.Bool("membership", false, "run the heartbeat membership protocol")
+		seed    = fs.Uint64("seed", 1, "deterministic seed")
+		quiet   = fs.Bool("q", false, "metrics only (skip hierarchy dump)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	wired := ringnet.LinkParams{Latency: 2 * ringnet.Millisecond, Loss: *loss}
 	wireless := ringnet.LinkParams{Latency: 8 * ringnet.Millisecond, Jitter: 4 * ringnet.Millisecond, Loss: *wless}
@@ -53,10 +69,10 @@ func main() {
 		Membership: *members,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !*quiet {
-		fmt.Print(sim.Engine.H.Format())
+		fmt.Fprint(w, sim.Engine.H.Format())
 	}
 
 	n := *sources
@@ -77,41 +93,41 @@ func main() {
 	}
 
 	if _, err := sim.RunQuiet(250*ringnet.Millisecond, 600*ringnet.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if mover != nil {
 		mover.Stop()
 	}
 	if err := sim.CheckOrder(); err != nil {
-		fmt.Fprintf(os.Stderr, "TOTAL ORDER VIOLATED: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("TOTAL ORDER VIOLATED: %w", err)
 	}
 
 	lg := sim.Engine.Log
 	buf := sim.Engine.Buffers()
 	stats := sim.Net.Stats()
-	fmt.Printf("\nvirtual time      %v\n", sim.Sched.Now())
-	fmt.Printf("sent              %d msgs from %d sources\n", lg.SentCount(), n)
-	fmt.Printf("receivers         %d MHs, min delivered %d, skipped gaps %d\n",
+	fmt.Fprintf(w, "\nvirtual time      %v\n", sim.Sched.Now())
+	fmt.Fprintf(w, "sent              %d msgs from %d sources\n", lg.SentCount(), n)
+	fmt.Fprintf(w, "receivers         %d MHs, min delivered %d, skipped gaps %d\n",
 		lg.Receivers(), lg.MinDelivered(), lg.Gaps.Value())
-	fmt.Printf("throughput        %.1f msgs/s per receiver\n", lg.Throughput())
-	fmt.Printf("latency           %s\n", lg.Latency.Summary())
-	fmt.Printf("worst stall       %v\n", lg.MaxGap())
-	fmt.Printf("buffers           peak WQ %d, peak MQ %d slots (overflows %d)\n",
+	fmt.Fprintf(w, "throughput        %.1f msgs/s per receiver\n", lg.Throughput())
+	fmt.Fprintf(w, "latency           %s\n", lg.Latency.Summary())
+	fmt.Fprintf(w, "worst stall       %v\n", lg.MaxGap())
+	fmt.Fprintf(w, "buffers           peak WQ %d, peak MQ %d slots (overflows %d)\n",
 		buf.PeakWQ, buf.PeakMQ, buf.Overflows)
-	fmt.Printf("retransmissions   %d\n", buf.Retransmits)
-	fmt.Printf("network           %v\n", stats)
+	fmt.Fprintf(w, "retransmissions   %d\n", buf.Retransmits)
+	fmt.Fprintf(w, "network           %v\n", stats)
 	rep := sim.ControlReport()
-	fmt.Printf("bandwidth         data %d msgs / %d B; control %d msgs / %d B (%.1f%% of bytes)\n",
+	fmt.Fprintf(w, "bandwidth         data %d msgs / %d B; control %d msgs / %d B (%.1f%% of bytes)\n",
 		rep.DataMsgs, rep.DataBytes, rep.ControlMsgs, rep.ControlBytes, 100*rep.ControlByteShare())
-	fmt.Printf("ack plane         %.2f standalone msgs per delivered payload (ack %d, progress %d, nack %d)\n",
+	fmt.Fprintf(w, "ack plane         %.2f standalone msgs per delivered payload (ack %d, progress %d, nack %d)\n",
 		rep.AckPerDelivered(), rep.Acks, rep.Progress, rep.Nacks)
 	if mover != nil {
-		fmt.Printf("handoffs          %d\n", mover.Handoffs)
+		fmt.Fprintf(w, "handoffs          %d\n", mover.Handoffs)
 	}
 	if sim.Members != nil {
-		fmt.Printf("membership        repairs %d, token-loss signals %d\n",
+		fmt.Fprintf(w, "membership        repairs %d, token-loss signals %d\n",
 			sim.Members.Repairs, sim.Members.TokenLossSignals)
 	}
-	fmt.Println("total order       verified")
+	fmt.Fprintln(w, "total order       verified")
+	return nil
 }

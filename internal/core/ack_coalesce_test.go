@@ -123,7 +123,7 @@ func TestGapTriggersImmediateAckFlush(t *testing.T) {
 	ne := r.e.NE(ap)
 	parent := ne.view.Parent
 	src := r.b.BRs[0]
-	acks := func() uint64 { return r.net.Stats().ByKind[msg.KindAck] }
+	acks := func() uint64 { return r.net.Traffic().Report().Acks }
 	data := func(g seq.GlobalSeq, l seq.LocalSeq) *msg.Data {
 		return &msg.Data{Group: 1, SourceNode: src, LocalSeq: l, OrderingNode: src, GlobalSeq: g, Payload: []byte("x")}
 	}
@@ -160,7 +160,7 @@ func TestWQGapTriggersImmediateAckFlush(t *testing.T) {
 	recv := r.e.NE(r.b.BRs[1])
 	prev := recv.view.Previous
 	src := r.b.BRs[0]
-	acks := func() uint64 { return r.net.Stats().ByKind[msg.KindAck] }
+	acks := func() uint64 { return r.net.Traffic().Report().Acks }
 
 	base := acks()
 	recv.handleWQData(prev, &msg.Data{Group: 1, SourceNode: src, LocalSeq: 1, Payload: []byte("x")})
@@ -218,7 +218,7 @@ func TestAckCoalescingConvergesUnderLoss(t *testing.T) {
 			}
 		}
 	}
-	if r.net.Stats().ByKind[msg.KindAck] == 0 {
+	if r.net.Traffic().Report().Acks == 0 {
 		t.Fatal("no standalone Acks at all under loss — gap flushes should have produced some")
 	}
 }

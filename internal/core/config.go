@@ -2,12 +2,15 @@
 // multicast protocol (paper §4): the Message-Ordering, Order-Assignment,
 // Message-Forwarding, and Message-Delivering algorithms, plus
 // Token-Regeneration and Multiple-Token resolution, running over the
-// topology, transport, and netsim substrates.
+// topology and transport layers.
 //
 // Every network entity (NE) is an independent state machine holding only
-// its local neighbor view; the engine wires NEs to the simulated network
-// and injects workload. Mobile hosts (MHs) are lightweight receivers
-// beneath the bottom APs.
+// its local neighbor view. Every send goes through the engine's
+// transport.Link. In the simulator that is the netsim network, where the
+// engine also registers every NE and MH and wires their links
+// (Engine.Start); on the wire it is the group's outbox link, and the
+// engine runs only the local node (Engine.StartLocal). Mobile hosts
+// (MHs) are lightweight receivers beneath the bottom APs.
 package core
 
 import (

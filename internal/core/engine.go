@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // Telemetry is the engine's live-instrumentation bundle: a set of
@@ -70,15 +71,20 @@ func HostOf(id seq.NodeID) seq.HostID {
 	return 0
 }
 
-// Engine owns one protocol instance: the hierarchy, the simulated
-// network, all NE state machines and MH receivers, and the workload
-// interface. It is the unit the benchmarks and examples drive.
+// Engine owns one protocol instance: the hierarchy, the network link,
+// all NE state machines and MH receivers, and the workload interface. It
+// is the unit the benchmarks and examples drive.
 type Engine struct {
 	Group seq.GroupID
 	Cfg   Config
-	Net   *netsim.Network
-	H     *topology.Hierarchy
-	Log   *metrics.DeliveryLog
+	// Link carries every protocol send and supplies the scheduler.
+	Link transport.Link
+	// Net is the simulated network behind Link in the simulator, used
+	// for topology work (endpoints, links, crashes, MHs); nil on the
+	// wire, where the engine runs one local node.
+	Net *netsim.Network
+	H   *topology.Hierarchy
+	Log *metrics.DeliveryLog
 
 	nes   map[seq.NodeID]*NE
 	mhs   map[seq.HostID]*MH
@@ -115,12 +121,21 @@ type Engine struct {
 	started bool
 }
 
-// NewEngine builds an engine over an existing hierarchy and network.
+// NewEngine builds an engine over an existing hierarchy and simulated
+// network.
 func NewEngine(group seq.GroupID, cfg Config, net *netsim.Network, h *topology.Hierarchy) *Engine {
+	e := NewLocalEngine(group, cfg, net, h)
+	e.Net = net
+	return e
+}
+
+// NewLocalEngine builds an engine that sends through link and has no
+// simulated network: it can only StartLocal its own node.
+func NewLocalEngine(group seq.GroupID, cfg Config, link transport.Link, h *topology.Hierarchy) *Engine {
 	return &Engine{
 		Group:        group,
 		Cfg:          cfg,
-		Net:          net,
+		Link:         link,
 		H:            h,
 		Log:          metrics.NewDeliveryLog(),
 		nes:          make(map[seq.NodeID]*NE),
@@ -132,7 +147,10 @@ func NewEngine(group seq.GroupID, cfg Config, net *netsim.Network, h *topology.H
 }
 
 // Scheduler returns the virtual-time scheduler.
-func (e *Engine) Scheduler() *sim.Scheduler { return e.Net.Scheduler() }
+func (e *Engine) Scheduler() *sim.Scheduler { return e.Link.Scheduler() }
+
+// Now returns the current virtual time.
+func (e *Engine) Now() sim.Time { return e.Link.Scheduler().Now() }
 
 // NE returns the state machine for a network entity.
 func (e *Engine) NE(id seq.NodeID) *NE { return e.nes[id] }
@@ -162,6 +180,7 @@ func (e *Engine) Start() error {
 		if err := e.spawnNE(id); err != nil {
 			return err
 		}
+		e.Net.Register(id, e.nes[id])
 	}
 	// Wire ring adjacencies and parent-child links.
 	for _, rid := range e.H.Rings() {
@@ -213,11 +232,10 @@ func (e *Engine) Start() error {
 // StartLocal instantiates ONLY the network entity for id — the
 // single-process slice of a multi-process deployment (cmd/ringnetd).
 // Every process builds the identical hierarchy from the shared ring
-// config and spawns just its own node; the remaining members must be
-// registered on the local network substrate as forwarding endpoints (the
-// wire bridge's job) before any traffic flows. Links are wired for the
-// hops incident to id; the ordering token is injected only in the
-// top-ring leader's process, so exactly one token is born cluster-wide.
+// config and spawns just its own node; its sends go straight to the
+// engine's Link, which reaches the remote members (the wire's outbox).
+// The ordering token is injected only in the top-ring leader's process,
+// so exactly one token is born cluster-wide.
 func (e *Engine) StartLocal(id seq.NodeID) error {
 	if e.started {
 		return fmt.Errorf("core: engine already started")
@@ -229,25 +247,6 @@ func (e *Engine) StartLocal(id seq.NodeID) error {
 	e.started = true
 	if err := e.spawnNE(id); err != nil {
 		return err
-	}
-	// Wire the links this node's hops use; the remote ends are bridge
-	// endpoints, not local NEs.
-	if r := e.H.RingOf(id); r != nil {
-		if nx, ok := r.Next(id); ok && nx != id {
-			e.Net.Connect(id, nx, e.WiredLink)
-		}
-		if pv, ok := r.Prev(id); ok && pv != id {
-			e.Net.Connect(id, pv, e.WiredLink)
-		}
-	}
-	if node.Parent != seq.None {
-		e.Net.Connect(id, node.Parent, e.WiredLink)
-	}
-	for _, c := range node.Candidates {
-		e.Net.Connect(id, c, e.WiredLink)
-	}
-	for _, c := range node.Children {
-		e.Net.Connect(id, c, e.WiredLink)
 	}
 	e.nes[id].refreshNeighbors()
 	if top := e.H.TopRing(); top != nil && top.Leader() == id {
@@ -268,9 +267,7 @@ func (e *Engine) spawnNE(id seq.NodeID) error {
 	if uint32(id) >= MHIDOffset {
 		return fmt.Errorf("core: NE id %v overlaps the MH identity range (≥ %d)", id, MHIDOffset)
 	}
-	ne := newNE(e, id)
-	e.nes[id] = ne
-	e.Net.Register(id, ne)
+	e.nes[id] = newNE(e, id)
 	return nil
 }
 
@@ -371,7 +368,7 @@ func (e *Engine) Submit(corr seq.NodeID, payload []byte) (seq.LocalSeq, error) {
 	e.local[corr]++
 	l := e.local[corr]
 	e.Tel.Trace.Span(telemetry.StagePublish, uint32(e.Group), uint32(corr), uint64(l), 0, 0)
-	e.Log.Sent(corr, l, e.Net.Now())
+	e.Log.Sent(corr, l, e.Now())
 	e.Scheduler().After(0, func() { ne.acceptSource(l, payload) })
 	return l, nil
 }
@@ -545,10 +542,12 @@ func (e *Engine) TokenStamp(at seq.NodeID) (epoch, hops uint64, ok bool) {
 	return ne.stampEpoch, ne.stampHops, true
 }
 
-// EnsureLink wires a link with tier-appropriate parameters if absent
-// (used by membership repair and mobility when adjacency changes).
+// EnsureLink wires a simulated link with tier-appropriate parameters
+// if absent (used by membership repair and mobility when adjacency
+// changes). Without a simulated network it does nothing: the Link's own
+// peer set is the route table.
 func (e *Engine) EnsureLink(a, b seq.NodeID) {
-	if a == b || a == seq.None || b == seq.None {
+	if e.Net == nil || a == b || a == seq.None || b == seq.None {
 		return
 	}
 	if !e.Net.Linked(a, b) {
@@ -595,20 +594,12 @@ func (e *Engine) Buffers() BufferReport {
 }
 
 // ControlReport summarizes this run's control-plane vs data-plane
-// message volume (acks, progress, nacks; control vs payload bytes).
+// message volume (acks, progress, nacks; control vs payload bytes), as
+// counted by the link.
 func (e *Engine) ControlReport() metrics.ControlReport {
-	st := e.Net.Stats()
-	return metrics.ControlReport{
-		Acks:         st.ByKind[msg.KindAck],
-		Progress:     st.ByKind[msg.KindProgress],
-		Nacks:        st.ByKind[msg.KindNack],
-		Heartbeats:   st.ByKind[msg.KindHeartbeat],
-		ControlMsgs:  st.CtrlMsgs,
-		ControlBytes: st.CtrlBytes,
-		DataMsgs:     st.DataMsgs,
-		DataBytes:    st.DataBytes,
-		Delivered:    e.Log.Delivered.Value(),
-	}
+	r := e.Link.Traffic().Report()
+	r.Delivered = e.Log.Delivered.Value()
+	return r
 }
 
 // TokenRounds returns the hop count of the token observed at the given
@@ -683,5 +674,3 @@ func (e *Engine) Quiesced() bool {
 	}
 	return true
 }
-
-var _ = msg.KindData // keep msg imported for doc references

@@ -54,7 +54,7 @@ func newMH(e *Engine, id seq.HostID, ap seq.NodeID) *MH {
 		ap:      ap,
 		pending: make(map[seq.GlobalSeq]*msg.Data),
 	}
-	m.handoffCourier = transport.NewCourier(e.Net, MHNodeID(id), transport.Config{RTO: e.Cfg.Wireless.RTO, MaxRetries: 0})
+	m.handoffCourier = transport.NewCourier(e.Link, MHNodeID(id), transport.Config{RTO: e.Cfg.Wireless.RTO, MaxRetries: 0})
 	m.ackFlush = m.flushAck
 	return m
 }
@@ -136,7 +136,7 @@ func (m *MH) drain() {
 			delete(m.pending, next)
 			m.last = next
 			m.Delivered++
-			m.e.Log.Deliver(uint32(m.id), d.GlobalSeq, d.SourceNode, d.LocalSeq, m.e.Net.Now())
+			m.e.Log.Deliver(uint32(m.id), d.GlobalSeq, d.SourceNode, d.LocalSeq, m.e.Now())
 			if m.OnDeliver != nil {
 				m.OnDeliver(d)
 			}
@@ -198,7 +198,7 @@ func (m *MH) flushAck() {
 	if m.closed {
 		return
 	}
-	m.e.Net.Send(MHNodeID(m.id), m.ap, &msg.Progress{Group: m.e.Group, Host: m.id, Max: m.last})
+	m.e.Link.Send(MHNodeID(m.id), m.ap, &msg.Progress{Group: m.e.Group, Host: m.id, Max: m.last})
 }
 
 // handoff switches the MH to a new AP: it announces its high-water mark

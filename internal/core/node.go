@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/queue"
@@ -172,13 +174,13 @@ func newNE(e *Engine, id seq.NodeID) *NE {
 		wqAligned:    make(map[seq.NodeID]bool),
 	}
 	n.ackFlush = n.flushAcks
-	n.tokenCourier = transport.NewCourier(e.Net, id, e.Cfg.Hop)
+	n.tokenCourier = transport.NewCourier(e.Link, id, e.Cfg.Hop)
 	n.tokenCourier.OnFail = func(to seq.NodeID, m msg.Message) { n.onTokenCourierFail() }
-	n.regenCourier = transport.NewCourier(e.Net, id, e.Cfg.Hop)
+	n.regenCourier = transport.NewCourier(e.Link, id, e.Cfg.Hop)
 	// Join retries are paced slower than data RTO (an idle parent has
 	// nothing to send back to confirm with) but fast enough that a
 	// lost Join costs less than the retained window.
-	n.joinCourier = transport.NewCourier(e.Net, id, transport.Config{RTO: 3 * e.Cfg.Hop.RTO, MaxRetries: 0})
+	n.joinCourier = transport.NewCourier(e.Link, id, transport.Config{RTO: 3 * e.Cfg.Hop.RTO, MaxRetries: 0})
 	if node := e.H.Node(id); node != nil {
 		n.isAP = node.Tier == topology.TierAP
 	}
@@ -235,7 +237,7 @@ func (n *NE) reset() {
 	n.refreshNeighbors()
 }
 
-func (n *NE) now() sim.Time { return n.e.Net.Now() }
+func (n *NE) now() sim.Time { return n.e.Now() }
 
 // Recv implements netsim.Handler: the protocol dispatch loop.
 func (n *NE) Recv(from seq.NodeID, m msg.Message) {
@@ -520,7 +522,7 @@ func (n *NE) refreshNeighbors() {
 	if wantRing {
 		n.e.EnsureLink(n.id, v.Next)
 		if n.ringSender == nil {
-			n.ringSender = transport.NewSender(n.e.Net, n.id, v.Next, n.e.Cfg.Hop)
+			n.ringSender = transport.NewSender(n.e.Link, n.id, v.Next, n.e.Cfg.Hop)
 			n.wireGiveUp(n.ringSender)
 			// Replay retained window so a repaired successor can
 			// resynchronize; duplicates are acked away.
@@ -536,11 +538,18 @@ func (n *NE) refreshNeighbors() {
 		n.ringSender = nil
 	}
 
-	// Top-ring WQ streams follow the next pointer.
+	// Top-ring WQ streams follow the next pointer, retargeted in source
+	// order: Retarget retransmits, so map order would make runs
+	// nondeterministic.
 	if v.IsTop && v.Next != seq.None && v.Next != n.id {
 		n.e.EnsureLink(n.id, v.Next)
-		for _, s := range n.wqSenders {
-			s.Retarget(v.Next)
+		srcs := make([]seq.NodeID, 0, len(n.wqSenders))
+		for src := range n.wqSenders {
+			srcs = append(srcs, src)
+		}
+		slices.Sort(srcs)
+		for _, src := range srcs {
+			n.wqSenders[src].Retarget(v.Next)
 		}
 	}
 
@@ -589,7 +598,7 @@ func (n *NE) sendJoin(resume seq.GlobalSeq) {
 
 func (n *NE) addChildSender(c seq.NodeID, start seq.GlobalSeq) *transport.Sender {
 	n.e.EnsureLink(n.id, c)
-	s := transport.NewSender(n.e.Net, n.id, c, n.e.Cfg.Hop)
+	s := transport.NewSender(n.e.Link, n.id, c, n.e.Cfg.Hop)
 	n.wireGiveUp(s)
 	n.childSenders[c] = s
 	n.childListDirty = true
@@ -740,7 +749,7 @@ func (n *NE) forwardWQ(src seq.NodeID) {
 	s := n.wqSenders[src]
 	if s == nil {
 		n.e.EnsureLink(n.id, nx)
-		s = transport.NewSender(n.e.Net, n.id, nx, n.e.Cfg.Hop)
+		s = transport.NewSender(n.e.Link, n.id, nx, n.e.Cfg.Hop)
 		n.traceRetransmits(s)
 		n.wqSenders[src] = s
 	}
@@ -960,7 +969,7 @@ func (n *NE) flushAcks() {
 		return
 	}
 	m := n.buildAck()
-	n.e.Net.Send(n.id, n.ack.to, m)
+	n.e.Link.Send(n.id, n.ack.to, m)
 }
 
 // buildAck materializes the register's coalesced Ack and clears it. The
@@ -1289,7 +1298,7 @@ func (n *NE) handleNack(from seq.NodeID, nk *msg.Nack) {
 	n.e.EnsureLink(n.id, from)
 	for g := nk.Range.Min; g <= nk.Range.Max; g++ {
 		if d := n.mq.Data(seq.GlobalSeq(g)); d != nil {
-			n.e.Net.Send(n.id, from, d)
+			n.e.Link.Send(n.id, from, d)
 			n.e.Tel.Trace.Span(telemetry.StageNackServe, uint32(n.e.Group), uint32(d.SourceNode), uint64(d.LocalSeq), g, uint32(from))
 		}
 	}
@@ -1327,7 +1336,7 @@ func (n *NE) attachHost(h seq.HostID, start seq.GlobalSeq) {
 	if old := n.mhSenders[h]; old != nil {
 		old.Close()
 	}
-	s := transport.NewSender(n.e.Net, n.id, MHNodeID(h), n.e.Cfg.Wireless)
+	s := transport.NewSender(n.e.Link, n.id, MHNodeID(h), n.e.Cfg.Wireless)
 	n.wireGiveUp(s)
 	n.mhSenders[h] = s
 	n.mhListDirty = true
@@ -1383,7 +1392,7 @@ func (n *NE) maybeDeactivate() {
 	n.awaitingJoin = false
 	n.joinedParent = seq.None
 	n.joinCourier.Confirm()
-	n.e.Net.Send(n.id, n.view.Parent, &msg.Leave{Group: n.e.Group, Node: n.id})
+	n.e.Link.Send(n.id, n.view.Parent, &msg.Leave{Group: n.e.Group, Node: n.id})
 }
 
 // activate (re)attaches this AP to the delivery tree via its parent.
@@ -1497,7 +1506,7 @@ func (n *NE) reserveNearby() {
 			continue
 		}
 		n.e.EnsureLink(n.id, sib)
-		n.e.Net.Send(n.id, sib, &msg.Reserve{Group: n.e.Group, From: n.id, TTL: 1})
+		n.e.Link.Send(n.id, sib, &msg.Reserve{Group: n.e.Group, From: n.id, TTL: 1})
 	}
 }
 

@@ -28,7 +28,7 @@ func (n *NE) handleToken(from seq.NodeID, tok *seq.Token) {
 	// pending acknowledgements owed to it piggyback here — on a
 	// token-active ring the steady state needs no standalone Acks.
 	if from != n.id {
-		n.e.Net.Send(n.id, from, &msg.TokenAck{
+		n.e.Link.Send(n.id, from, &msg.TokenAck{
 			From: n.id, Epoch: tok.Epoch, Hops: tok.Hops, Next: tok.NextGlobalSeq,
 			Cum: n.takePendingAck(from),
 		})
@@ -383,7 +383,7 @@ func (n *NE) sendRepairNack(g seq.GlobalSeq, rounds int) {
 					n.ctrNacks++
 					n.e.Tel.NacksBroadcast.Inc()
 					n.e.EnsureLink(n.id, p)
-					n.e.Net.Send(n.id, p, nk)
+					n.e.Link.Send(n.id, p, nk)
 				}
 			}
 			return
@@ -395,7 +395,7 @@ func (n *NE) sendRepairNack(g seq.GlobalSeq, rounds int) {
 	}
 	n.ctrNacks++
 	n.e.Tel.NacksRanged.Inc()
-	n.e.Net.Send(n.id, prev, nk)
+	n.e.Link.Send(n.id, prev, nk)
 }
 
 func (n *NE) orderAssignSource(src seq.NodeID) {
@@ -646,7 +646,7 @@ func (n *NE) handleTokenRegen(from seq.NodeID, rg *msg.TokenRegen) {
 		return
 	}
 	if from != n.id {
-		n.e.Net.Send(n.id, from, &msg.TokenAck{
+		n.e.Link.Send(n.id, from, &msg.TokenAck{
 			From: n.id, Epoch: rg.Token.Epoch, Hops: rg.Token.Hops, Next: rg.Token.NextGlobalSeq,
 			Cum: n.takePendingAck(from),
 		})

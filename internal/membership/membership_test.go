@@ -1,9 +1,12 @@
 package membership
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/seq"
 	"repro/internal/sim"
@@ -46,6 +49,49 @@ func (r *rig) run(until sim.Time) {
 
 func spec() topology.Spec {
 	return topology.Spec{BRs: 4, AGRings: 2, AGSize: 3, APsPerAG: 1, MHsPerAP: 1}
+}
+
+// TestRingRepairDeterministic: a lossy, jittery run whose BR crash
+// forces ring repair — senders retarget their unacked windows mid-stream
+// — replays identically from one seed.
+func TestRingRepairDeterministic(t *testing.T) {
+	fingerprint := func() uint64 {
+		sched := sim.NewScheduler()
+		sched.MaxEvents = 50_000_000
+		net := netsim.New(sched, sim.NewRNG(7))
+		b, err := topology.Build(spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := core.NewEngine(1, core.DefaultConfig(), net, b.H)
+		e.WiredLink = netsim.LinkParams{Latency: 2 * sim.Millisecond, Jitter: sim.Millisecond, Loss: 0.02}
+		h := fnv.New64a()
+		net.Trace = func(at sim.Time, from, to seq.NodeID, m msg.Message) {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", at, from, to, m.Kind(), m.WireSize())
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		New(e, DefaultConfig()).Start()
+		for i := 0; i < 400; i++ {
+			src := b.BRs[i%2]
+			sched.At(100*sim.Millisecond+sim.Time(i)*500*sim.Microsecond, func() { e.Submit(src, []byte("x")) })
+		}
+		sched.At(180*sim.Millisecond, func() { e.FailNode(b.BRs[2]) })
+		if _, err := sched.Run(3 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Log.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return h.Sum64()
+	}
+	want := fingerprint()
+	for run := 1; run < 4; run++ {
+		if got := fingerprint(); got != want {
+			t.Fatalf("run %d trace fingerprint %x, want %x: same seed, different run", run, got, want)
+		}
+	}
 }
 
 func TestNoFalsePositivesWhenHealthy(t *testing.T) {

@@ -1,6 +1,10 @@
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/msg"
+)
 
 // ControlReport summarizes control-plane versus data-plane message
 // volume for one run — the quantity the ack-coalescing and piggybacking
@@ -62,4 +66,48 @@ func (r ControlReport) String() string {
 		r.DataMsgs, r.DataBytes,
 		r.AckPlane(), r.Acks, r.Progress, r.Nacks,
 		r.AckPerDelivered(), r.Delivered)
+}
+
+// Traffic is a link's send-side accounting: per-kind message counts and
+// the data/control split of the bytes that entered the link. Both send
+// substrates — the simulated network and the wire's outbox link — feed
+// one, and Engine.ControlReport reads it.
+type Traffic struct {
+	byKind    [256]uint64
+	dataMsgs  uint64
+	dataBytes uint64
+	ctrlMsgs  uint64
+	ctrlBytes uint64
+}
+
+// Kind counts one send attempt of kind k.
+func (t *Traffic) Kind(k msg.Kind) { t.byKind[k]++ }
+
+// Plane attributes one message of the given wire size that entered the
+// link to the data plane (Data and SourceData, payload carriers) or the
+// control plane (everything else).
+func (t *Traffic) Plane(k msg.Kind, size int) {
+	switch k {
+	case msg.KindData, msg.KindSourceData:
+		t.dataMsgs++
+		t.dataBytes += uint64(size)
+	default:
+		t.ctrlMsgs++
+		t.ctrlBytes += uint64(size)
+	}
+}
+
+// Report renders the counts as a ControlReport; Delivered is the
+// caller's to fill.
+func (t *Traffic) Report() ControlReport {
+	return ControlReport{
+		Acks:         t.byKind[msg.KindAck],
+		Progress:     t.byKind[msg.KindProgress],
+		Nacks:        t.byKind[msg.KindNack],
+		Heartbeats:   t.byKind[msg.KindHeartbeat],
+		ControlMsgs:  t.ctrlMsgs,
+		ControlBytes: t.ctrlBytes,
+		DataMsgs:     t.dataMsgs,
+		DataBytes:    t.dataBytes,
+	}
 }

@@ -55,9 +55,9 @@ func TestSendBurstSingleEvent(t *testing.T) {
 			t.Fatalf("delivery %d at %v, want 2ms", i, rec.at[i])
 		}
 	}
-	st := net.Stats()
-	if st.Sent != 5 || st.Delivered != 5 || st.DataMsgs != 5 || st.CtrlMsgs != 0 {
-		t.Fatalf("stats = %+v", st)
+	st, tr := net.Stats(), net.Traffic().Report()
+	if st.Sent != 5 || st.Delivered != 5 || tr.DataMsgs != 5 || tr.ControlMsgs != 0 {
+		t.Fatalf("stats = %+v, traffic = %+v", st, tr)
 	}
 }
 
@@ -132,15 +132,15 @@ func TestControlDataAccounting(t *testing.T) {
 	a := &msg.Ack{From: 1, CumGlobal: 1}
 	net.Send(1, 2, d)
 	net.Send(1, 2, a)
-	st := net.Stats()
-	if st.DataMsgs != 1 || st.CtrlMsgs != 1 {
-		t.Fatalf("plane counts = data %d, ctrl %d", st.DataMsgs, st.CtrlMsgs)
+	st, tr := net.Stats(), net.Traffic().Report()
+	if tr.DataMsgs != 1 || tr.ControlMsgs != 1 {
+		t.Fatalf("plane counts = data %d, ctrl %d", tr.DataMsgs, tr.ControlMsgs)
 	}
-	if st.DataBytes != uint64(d.WireSize()) || st.CtrlBytes != uint64(a.WireSize()) {
+	if tr.DataBytes != uint64(d.WireSize()) || tr.ControlBytes != uint64(a.WireSize()) {
 		t.Fatalf("plane bytes = data %d (want %d), ctrl %d (want %d)",
-			st.DataBytes, d.WireSize(), st.CtrlBytes, a.WireSize())
+			tr.DataBytes, d.WireSize(), tr.ControlBytes, a.WireSize())
 	}
-	if st.Bytes != st.DataBytes+st.CtrlBytes {
-		t.Fatalf("byte split %d+%d does not sum to total %d", st.DataBytes, st.CtrlBytes, st.Bytes)
+	if st.Bytes != tr.DataBytes+tr.ControlBytes {
+		t.Fatalf("byte split %d+%d does not sum to total %d", tr.DataBytes, tr.ControlBytes, st.Bytes)
 	}
 }

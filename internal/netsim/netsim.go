@@ -9,6 +9,7 @@ package netsim
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/seq"
 	"repro/internal/sim"
@@ -114,10 +115,8 @@ func (n *Network) deliverOne(dst *endpoint, from, to seq.NodeID, m msg.Message) 
 	dst.handler.Recv(from, m)
 }
 
-// Stats aggregates network-wide counters. Control/data classification:
-// Data and SourceData frames are the data plane (they carry payloads —
-// including any piggybacked acknowledgements, which is the point of
-// piggybacking); every other kind is control plane.
+// Stats aggregates network-wide counters. The per-kind counts and the
+// data/control split are in Traffic.
 type Stats struct {
 	Sent            uint64
 	Delivered       uint64
@@ -126,11 +125,6 @@ type Stats struct {
 	DroppedNodeDown uint64
 	DroppedNoRoute  uint64
 	Bytes           uint64
-	DataMsgs        uint64
-	DataBytes       uint64
-	CtrlMsgs        uint64
-	CtrlBytes       uint64
-	ByKind          map[msg.Kind]uint64
 }
 
 // Network is the simulated message fabric.
@@ -142,6 +136,7 @@ type Network struct {
 	free    []*delivery     // recycled delivery records
 	runFree [][]msg.Message // recycled burst buffers
 	stats   Stats
+	traffic metrics.Traffic
 	// Trace, when non-nil, observes every delivery (after loss and
 	// delay). Useful in tests.
 	Trace func(at sim.Time, from, to seq.NodeID, m msg.Message)
@@ -169,14 +164,11 @@ func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 func (n *Network) Now() sim.Time { return n.sched.Now() }
 
 // Stats returns a snapshot of the counters.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	s.ByKind = make(map[msg.Kind]uint64, len(n.stats.ByKind))
-	for k, v := range n.stats.ByKind {
-		s.ByKind[k] = v
-	}
-	return s
-}
+func (n *Network) Stats() Stats { return n.stats }
+
+// Traffic returns the send-side accounting: every send attempt counts
+// by kind, and the messages that entered a link count by plane.
+func (n *Network) Traffic() *metrics.Traffic { return &n.traffic }
 
 // Register attaches a handler to a node identity. Registering an existing
 // node replaces its handler and clears its crashed state.
@@ -259,10 +251,7 @@ func (n *Network) LinkParamsOf(from, to seq.NodeID) (LinkParams, bool) {
 // crashed — the sender learns nothing either way, exactly like UDP).
 func (n *Network) Send(from, to seq.NodeID, m msg.Message) bool {
 	n.stats.Sent++
-	if n.stats.ByKind == nil {
-		n.stats.ByKind = make(map[msg.Kind]uint64)
-	}
-	n.stats.ByKind[m.Kind()]++
+	n.traffic.Kind(m.Kind())
 
 	src, ok := n.nodes[from]
 	if !ok || src.crashed {
@@ -286,7 +275,7 @@ func (n *Network) Send(from, to seq.NodeID, m msg.Message) bool {
 
 	size := m.WireSize()
 	n.stats.Bytes += uint64(size)
-	n.countPlane(m, size)
+	n.traffic.Plane(m.Kind(), size)
 
 	// Serialization delay occupies the sender side of the link.
 	start := n.sched.Now()
@@ -325,19 +314,6 @@ func (n *Network) Send(from, to seq.NodeID, m msg.Message) bool {
 	d.net, d.dst, d.from, d.to, d.m = n, dst, from, to, m
 	n.sched.AtCall(arrival, deliver, d)
 	return true
-}
-
-// countPlane attributes one transmission that entered a link to the data
-// or control plane.
-func (n *Network) countPlane(m msg.Message, size int) {
-	switch m.Kind() {
-	case msg.KindData, msg.KindSourceData:
-		n.stats.DataMsgs++
-		n.stats.DataBytes += uint64(size)
-	default:
-		n.stats.CtrlMsgs++
-		n.stats.CtrlBytes += uint64(size)
-	}
 }
 
 // SendBurst transmits a run of messages from→to as one link burst: on a
@@ -388,13 +364,11 @@ func (n *Network) SendBurst(from, to seq.NodeID, msgs []msg.Message) {
 	}
 	for _, m := range msgs {
 		n.stats.Sent++
-		if n.stats.ByKind == nil {
-			n.stats.ByKind = make(map[msg.Kind]uint64)
-		}
-		n.stats.ByKind[m.Kind()]++
+		k := m.Kind()
+		n.traffic.Kind(k)
 		size := m.WireSize()
 		n.stats.Bytes += uint64(size)
-		n.countPlane(m, size)
+		n.traffic.Plane(k, size)
 		if n.rng.Bool(l.params.Loss) {
 			n.stats.DroppedLoss++
 			continue

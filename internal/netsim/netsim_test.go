@@ -58,8 +58,8 @@ func TestSendDelivery(t *testing.T) {
 	if st.Sent != 1 || st.Delivered != 1 {
 		t.Fatalf("stats %v", st)
 	}
-	if st.ByKind[msg.KindHeartbeat] != 1 {
-		t.Fatal("ByKind not counted")
+	if net.Traffic().Report().Heartbeats != 1 {
+		t.Fatal("per-kind count not kept")
 	}
 }
 

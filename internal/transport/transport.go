@@ -10,12 +10,31 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/seq"
 	"repro/internal/sim"
 )
+
+// Link is the network one protocol instance sends through: the simulated
+// network (netsim.Network) in the simulator, the shared socket outbox on
+// the wire. Sends are best-effort, like UDP: reliability is this
+// package's job, on top.
+type Link interface {
+	// Send transmits m from→to and reports whether it entered the
+	// network (false when there is no route; the message is dropped
+	// silently either way).
+	Send(from, to seq.NodeID, m msg.Message) bool
+	// SendBurst transmits a run of messages from→to in order. The
+	// caller keeps ownership of msgs.
+	SendBurst(from, to seq.NodeID, msgs []msg.Message)
+	// Scheduler is the event scheduler the link's sends run on.
+	Scheduler() *sim.Scheduler
+	// Traffic is the link's per-kind and data/control byte accounting.
+	Traffic() *metrics.Traffic
+}
 
 // Config tunes one reliable hop.
 type Config struct {
@@ -85,7 +104,7 @@ func pendingTimeout(v any) {
 // retransmits on timeout. OnGiveUp fires when a message exhausts its
 // retries — the caller then applies the really-lost rule.
 type Sender struct {
-	net   *netsim.Network
+	net   Link
 	cfg   Config
 	from  seq.NodeID
 	to    seq.NodeID
@@ -110,7 +129,7 @@ type Sender struct {
 }
 
 // NewSender builds a sender for one directed hop.
-func NewSender(net *netsim.Network, from, to seq.NodeID, cfg Config) *Sender {
+func NewSender(net Link, from, to seq.NodeID, cfg Config) *Sender {
 	if cfg.RTO <= 0 {
 		cfg.RTO = DefaultConfig.RTO
 	}
@@ -122,13 +141,21 @@ func (s *Sender) To() seq.NodeID { return s.to }
 
 // Retarget atomically redirects the hop to a new destination (ring
 // repair: the next node changed). Unacked messages are retransmitted to
-// the new destination immediately.
+// the new destination immediately, in ascending seqno order, so the new
+// successor sees the stream in order and the simulator stays
+// deterministic.
 func (s *Sender) Retarget(to seq.NodeID) {
 	if s.to == to {
 		return
 	}
 	s.to = to
-	for _, p := range s.out {
+	sns := make([]uint64, 0, len(s.out))
+	for sn := range s.out {
+		sns = append(sns, sn)
+	}
+	slices.Sort(sns)
+	for _, sn := range sns {
+		p := s.out[sn]
 		if s.cfg.BackoffCap > 0 {
 			// A fresh destination deserves a fresh cadence: the old
 			// peer's unresponsiveness says nothing about the new one.
@@ -282,7 +309,7 @@ func (s *Sender) Close() {
 // until Confirm is called or retries are exhausted, at which point OnFail
 // fires (the basis of the Token-Loss case when the next node is dead).
 type Courier struct {
-	net  *netsim.Network
+	net  Link
 	cfg  Config
 	from seq.NodeID
 
@@ -299,7 +326,7 @@ type Courier struct {
 }
 
 // NewCourier builds a single-message reliable sender.
-func NewCourier(net *netsim.Network, from seq.NodeID, cfg Config) *Courier {
+func NewCourier(net Link, from seq.NodeID, cfg Config) *Courier {
 	if cfg.RTO <= 0 {
 		cfg.RTO = DefaultConfig.RTO
 	}

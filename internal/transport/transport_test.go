@@ -180,6 +180,39 @@ func TestSenderRetarget(t *testing.T) {
 	snd.Retarget(3)
 }
 
+// TestSenderRetargetInSeqnoOrder: after ring repair the new successor
+// must see the unacked window in stream order — out-of-order
+// retransmissions look like gaps to it, and in the simulator any
+// iteration-order dependence breaks same-seed determinism.
+func TestSenderRetargetInSeqnoOrder(t *testing.T) {
+	sched := sim.NewScheduler()
+	net := netsim.New(sched, sim.NewRNG(7))
+	s3 := &sink{}
+	net.Register(1, &sink{})
+	net.Register(2, &sink{})
+	net.Register(3, s3)
+	net.Connect(1, 2, netsim.LinkParams{Latency: 1 * sim.Millisecond})
+	net.Connect(1, 3, netsim.LinkParams{Latency: 1 * sim.Millisecond})
+	net.Crash(2)
+	snd := NewSender(net, 1, 2, Config{RTO: 10 * sim.Millisecond, MaxRetries: 100})
+	const n = 32
+	for i := uint64(1); i <= n; i++ {
+		snd.Send(i, &msg.Data{SourceNode: 1, LocalSeq: seq.LocalSeq(i), OrderingNode: 1})
+	}
+	snd.Retarget(3)
+	if _, err := sched.Run(5 * sim.Millisecond); err != nil { // before the RTO
+		t.Fatal(err)
+	}
+	if len(s3.got) != n {
+		t.Fatalf("new destination got %d retransmissions, want %d", len(s3.got), n)
+	}
+	for i, m := range s3.got {
+		if got := m.(*msg.Data).LocalSeq; got != seq.LocalSeq(i+1) {
+			t.Fatalf("retransmission %d carries seqno %d, want %d (ascending)", i, got, i+1)
+		}
+	}
+}
+
 func TestSenderClose(t *testing.T) {
 	sched, net, s := rig(0)
 	snd := NewSender(net, 1, 2, Config{RTO: 5 * sim.Millisecond, MaxRetries: 5})

@@ -19,23 +19,24 @@
 //     traffic from every hosted group coalesces into shared
 //     multi-section datagrams, so N groups do not mean N×
 //     the datagrams;
-//   - bridge.go:    the splice between one group's internal/core instance
-//     and the shared outbox — remote ring members appear as
-//     forwarding endpoints on the group's netsim substrate;
+//   - link.go:      one group's send path: the internal/core engine's
+//     sends to live remote members go straight into the
+//     shared outbox, and inbound sections reach the local
+//     node on the driver goroutine;
 //   - config.go:    the groups-first daemon config (schema v2) and the
 //     legacy single-group shim;
 //   - report.go:    the per-group + daemon-aggregate status report
 //     (schema v2);
-//   - group.go:     one hosted ring group: engine, driver, bridge,
+//   - group.go:     one hosted ring group: engine, driver, link,
 //     membership plane, workload, and convergence barrier;
 //   - daemon.go:    the federation orchestrator for cmd/ringnetd and the
 //     multi-process harness: one transport + clock-sync per
 //     process, N groups demuxed over it.
 //
 // The paper's local-scope retransmission machinery (transport.Sender,
-// couriers, Nack repair, token recovery) is reused as-is: the simulator's
-// network is reduced to a zero-latency in-process dispatch layer and the
-// real network supplies latency, jitter, loss, and reordering.
+// couriers, Nack repair, token recovery) is reused as-is, sending through
+// the group's Link instead of the simulated network: the real network
+// supplies latency, jitter, loss, and reordering.
 package wire
 
 import (

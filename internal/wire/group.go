@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/seq"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -51,7 +50,7 @@ func protocolConfig() core.Config {
 }
 
 // ringGroup is one hosted ring group: its own engine, scheduler, driver
-// goroutine, bridge onto the shared outbox, membership plane, workload,
+// goroutine, link onto the shared outbox, membership plane, workload,
 // and convergence barrier — the single-group daemon of earlier schema
 // versions, now N-per-process. Everything below the transport is
 // group-private; the federation (daemon.go) owns what is shared.
@@ -64,10 +63,9 @@ type ringGroup struct {
 	port    *Port
 
 	sched *sim.Scheduler
-	net   *netsim.Network
 	e     *core.Engine
 	drv   *Driver
-	br    *Bridge
+	link  *Link
 	ms    *Membership
 	oh    *metrics.OrderHash
 	peers []seq.NodeID
@@ -106,7 +104,7 @@ type ringGroup struct {
 }
 
 // newRingGroup assembles one group against the daemon's shared transport
-// and outbox: topology, engine, bridge endpoints, membership plane, and
+// and outbox: topology, engine, link, membership plane, and
 // the group's receive hooks on the transport. The driver is built but
 // not started — the federation starts every group after the transport
 // reader is up.
@@ -153,11 +151,9 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 	}
 
 	g.sched = sim.NewScheduler()
-	// Group-distinct streams from the daemon seed, so sibling groups do
-	// not share fault/backoff draws.
-	g.net = netsim.New(g.sched, sim.NewRNG(cfg.Seed+1+uint64(gc.ID)*0x9e3779b9))
-	g.e = core.NewEngine(seq.GroupID(gc.ID), protocolConfig(), g.net, h)
-	g.e.WiredLink = netsim.LinkParams{} // zero latency: the socket is the link
+	g.drv = NewDriver(g.sched)
+	g.link = NewLink(g.drv, nd.ob, g.self, g.gid)
+	g.e = core.NewLocalEngine(seq.GroupID(gc.ID), protocolConfig(), g.link, h)
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
 
 	if gc.TracePath != "" {
@@ -215,7 +211,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 	// the trace when asked.
 	g.e.OnDeliver = func(at seq.NodeID, d *msg.Data) {
 		g.oh.Note(d.GlobalSeq, d.SourceNode, d.LocalSeq)
-		g.e.Log.Deliver(uint32(at), d.GlobalSeq, d.SourceNode, d.LocalSeq, g.net.Now())
+		g.e.Log.Deliver(uint32(at), d.GlobalSeq, d.SourceNode, d.LocalSeq, g.sched.Now())
 		if g.dlog != nil {
 			err := g.dlog.Append(store.Record{
 				Global: d.GlobalSeq, Source: d.SourceNode, Local: d.LocalSeq, Payload: d.Payload,
@@ -243,7 +239,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 			g.firstG = d.GlobalSeq
 		}
 		g.lastG = d.GlobalSeq
-		now := g.net.Now()
+		now := g.sched.Now()
 		if g.lastDeliverAt > 0 && now-g.lastDeliverAt > g.maxGap {
 			g.maxGap = now - g.lastDeliverAt
 		}
@@ -288,15 +284,13 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 		}
 	}
 
-	g.drv = NewDriver(g.sched)
-	g.br = NewBridge(g.drv, nd.ob, g.net, g.self, g.gid)
 	g.peers = make([]seq.NodeID, 0, len(g.members)-1)
 	for _, id := range g.members {
 		if id != g.self {
 			g.peers = append(g.peers, id)
+			g.link.ExposePeer(id)
 		}
 	}
-	g.br.Expose(g.peers)
 	for _, p := range cfg.Peers {
 		if p.Addr == "" {
 			g.closeStore()
@@ -334,7 +328,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 				initial[seq.NodeID(p.Node)] = p.Addr
 			}
 		}
-		g.ms = NewMembership(g.e, g.port, g.br, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
+		g.ms = NewMembership(g.e, g.port, g.link, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
 		g.ms.SetTelemetry(g.tel.memberTel())
 		g.ms.OrderHash = g.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
 		if g.dlog != nil {
@@ -368,11 +362,11 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 	// the baseline jump, stranding the delivery front at the
 	// unreachable stream prefix forever. Dropped frames are simply
 	// retransmitted by their senders until we join and ack.
-	sink := netsim.Handler(g.e.NE(g.self))
+	sink := g.e.NE(g.self).Recv
 	if gc.Join {
 		inner := sink
 		gate := g.ms
-		sink = netsim.HandlerFunc(func(from seq.NodeID, m msg.Message) {
+		sink = func(from seq.NodeID, m msg.Message) {
 			// Gate only until the FIRST splice: an evicted leaver must
 			// keep receiving acks/Nacks to drain and serve stragglers.
 			if gate != nil && !gate.Spliced() {
@@ -382,10 +376,10 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 					return
 				}
 			}
-			inner.Recv(from, m)
-		})
+			inner(from, m)
+		}
 	}
-	hooks := GroupHooks{Handler: g.br.Attach(sink)}
+	hooks := GroupHooks{Handler: g.link.Attach(sink)}
 	hooks.OnControl = func(from seq.NodeID, flags uint8) {
 		if flags&FlagDone == 0 {
 			return

@@ -18,7 +18,7 @@ import (
 // dynamic joins and graceful leaves, instead of freezing the moment its
 // static JSON ring config stops matching reality.
 //
-// Design: full-mesh heartbeats (they ride the protocol bridge, so they
+// Design: full-mesh heartbeats (they ride the group's link, so they
 // coalesce into data datagrams and are counted in the control-plane
 // split) feed per-member suspect timers on the real-time driver. All
 // reconfiguration is decided by one deterministic coordinator — the
@@ -39,8 +39,8 @@ import (
 // by exponential backoff with jitter and a per-epoch attempt cap, so a
 // dead peer stops costing datagrams (a heartbeat from a written-off
 // peer revives its resends). Members apply an update by reforming the
-// topology ring in place, splicing transport peers and bridge
-// endpoints, refreshing the local NE's neighbor view, and severing
+// topology ring in place, splicing transport and link peers,
+// refreshing the local NE's neighbor view, and severing
 // reliable-delivery state aimed at removed members. A token watchdog
 // re-emits the paper's Token-Loss signal whenever token circulation
 // stays silent past the threshold — raised only at the coordinator, so
@@ -77,7 +77,7 @@ import (
 // the leaver at the next quorum epoch; the leaver keeps serving
 // retransmissions (and forwards any held token through the normal
 // courier path) until its couriers drain, then exits. Members removed
-// from the ring stay reachable as transport/bridge "lame ducks" for a
+// from the ring stay reachable as transport/link "lame ducks" for a
 // grace period so exactly that drain traffic can complete.
 
 const (
@@ -106,9 +106,9 @@ type MemberTunables struct {
 	Heartbeat sim.Time
 	// Suspect declares a member failed after this much heartbeat silence.
 	Suspect sim.Time
-	// Lame is how long a removed member stays in the transport/bridge
+	// Lame is how long a removed member stays in the transport/link
 	// peer set so in-flight drains (token handoff acks, Nack service)
-	// complete before the endpoint vanishes.
+	// complete before it vanishes.
 	Lame sim.Time
 	// TokenWatch re-emits the Token-Loss signal after this much token
 	// silence at a member that has seen the token before. It must be at
@@ -162,7 +162,7 @@ type resendState struct {
 type Membership struct {
 	e    *core.Engine
 	tr   *Port
-	br   *Bridge
+	link *Link
 	self seq.NodeID
 	addr string
 	cfg  MemberTunables
@@ -264,10 +264,10 @@ type Membership struct {
 // ring member, members lists the configured ring (epoch 1, already in
 // topology); for a joiner, members is nil and seeds names the processes
 // to solicit.
-func NewMembership(e *core.Engine, tr *Port, br *Bridge, self seq.NodeID, selfAddr string,
+func NewMembership(e *core.Engine, tr *Port, link *Link, self seq.NodeID, selfAddr string,
 	cfg MemberTunables, members map[seq.NodeID]string, ringID topology.RingID, seeds []PeerAddr) *Membership {
 	m := &Membership{
-		e: e, tr: tr, br: br, self: self, addr: selfAddr, cfg: cfg,
+		e: e, tr: tr, link: link, self: self, addr: selfAddr, cfg: cfg,
 		members:          make(map[seq.NodeID]string),
 		det:              membership.NewDetector(cfg.Suspect),
 		peerEpoch:        make(map[seq.NodeID]uint64),
@@ -300,7 +300,7 @@ func (m *Membership) Start() {
 	if ne := m.e.NE(m.self); ne != nil {
 		ne.SetAux(m)
 	}
-	now := m.e.Net.Now()
+	now := m.e.Now()
 	for _, p := range m.order {
 		if p != m.self {
 			m.det.Watch(p, now)
@@ -345,7 +345,7 @@ func (m *Membership) Lame() bool { return m.lame }
 // LameTime returns cumulative time spent parked in the lame ring.
 func (m *Membership) LameTime() sim.Time {
 	if m.lame {
-		return m.lameTotal + (m.e.Net.Now() - m.lameSince)
+		return m.lameTotal + (m.e.Now() - m.lameSince)
 	}
 	return m.lameTotal
 }
@@ -400,11 +400,11 @@ func (m *Membership) announceLeave() {
 	if m.coordinator() == m.self {
 		if !m.pendingLeave[m.self] {
 			m.pendingLeave[m.self] = true
-			m.coordinate(m.e.Net.Now())
+			m.coordinate(m.e.Now())
 		}
 		return
 	}
-	m.e.Net.Send(m.self, m.coordinator(), &msg.LeaveReq{Group: m.e.Group, Node: m.self})
+	m.e.Link.Send(m.self, m.coordinator(), &msg.LeaveReq{Group: m.e.Group, Node: m.self})
 }
 
 func (m *Membership) reorder() {
@@ -425,13 +425,13 @@ func (m *Membership) coordinator() seq.NodeID {
 	return m.self
 }
 
-// Recv implements netsim.Handler: the membership-plane messages the NE's
-// protocol dispatch does not consume. Driver goroutine.
+// Recv is the local NE's aux handler: the membership-plane messages the
+// NE's protocol dispatch does not consume. Driver goroutine.
 func (m *Membership) Recv(from seq.NodeID, message msg.Message) {
 	switch v := message.(type) {
 	case *msg.Heartbeat:
 		if _, ok := m.members[v.From]; ok {
-			m.det.Heard(v.From, m.e.Net.Now())
+			m.det.Heard(v.From, m.e.Now())
 			m.peerEpoch[v.From] = v.Epoch
 			// A heartbeat from a written-off laggard proves it is alive:
 			// revive its resends with a fresh attempt budget.
@@ -492,13 +492,13 @@ func (m *Membership) tick() {
 	if m.evicted {
 		return
 	}
-	now := m.e.Net.Now()
+	now := m.e.Now()
 	if !m.joined {
 		// Joiner: solicit membership from every seed, offering our
 		// durable front so the coordinator can grant a resume.
 		jr := &msg.JoinReq{Group: m.e.Group, Node: m.self, Addr: m.addr, Front: m.ResumeFront}
 		for _, s := range m.seeds {
-			m.tr.Send(seq.NodeID(s.Node), jr) // direct: we are nobody's netsim endpoint yet
+			m.tr.Send(seq.NodeID(s.Node), jr) // direct: seeds are not link peers yet
 		}
 		return
 	}
@@ -512,7 +512,7 @@ func (m *Membership) tick() {
 		if m.lame && m.det.Suspected(p) && !probe {
 			continue // lame: throttle beacons toward suspects to probe rate
 		}
-		m.e.Net.Send(m.self, p, hb)
+		m.e.Link.Send(m.self, p, hb)
 	}
 	m.det.Silent(now) // sweep: marks suspicion inside the detector
 	m.noteSuspects()
@@ -880,7 +880,7 @@ func (m *Membership) pushVotes() {
 		if p == m.self || m.prop.votes[p] {
 			continue
 		}
-		m.e.Net.Send(m.self, p, &msg.QuorumVote{
+		m.e.Link.Send(m.self, p, &msg.QuorumVote{
 			Group: m.e.Group, Epoch: m.prop.epoch, Base: m.prop.base,
 			Proposer: m.self, Voter: p,
 		})
@@ -931,7 +931,7 @@ func (m *Membership) handleVoteReq(v *msg.QuorumVote) {
 	if _, ok := m.members[v.Proposer]; !ok {
 		return
 	}
-	m.e.Net.Send(m.self, v.Proposer, &msg.QuorumVote{
+	m.e.Link.Send(m.self, v.Proposer, &msg.QuorumVote{
 		Group: m.e.Group, Epoch: v.Epoch, Base: v.Base,
 		Proposer: v.Proposer, Voter: m.self, Granted: true,
 	})
@@ -1010,7 +1010,7 @@ func (m *Membership) commit(p *proposal) {
 		m.Merges++
 		m.tel.merges.Inc()
 		if m.healStartAt != 0 && m.healDoneAt == 0 {
-			m.healDoneAt = m.e.Net.Now()
+			m.healDoneAt = m.e.Now()
 			m.tel.emit("merge-heal", u.Epoch, (m.healDoneAt - m.healStartAt).String())
 		}
 	}
@@ -1134,7 +1134,7 @@ func (m *Membership) sendUpdate(to seq.NodeID) {
 }
 
 // sendUpdateTo delivers one RingUpdate, establishing the transport peer
-// and bridge endpoint first (the recipient may be a brand-new joiner).
+// and link peer first (the recipient may be a brand-new joiner).
 func (m *Membership) sendUpdateTo(to seq.NodeID, addr string, u *msg.RingUpdate) {
 	if !m.tr.HasPeer(to) {
 		if addr == "" {
@@ -1144,8 +1144,8 @@ func (m *Membership) sendUpdateTo(to seq.NodeID, addr string, u *msg.RingUpdate)
 			return
 		}
 	}
-	m.br.ExposePeer(to)
-	m.e.Net.Send(m.self, to, u)
+	m.link.ExposePeer(to)
+	m.e.Link.Send(m.self, to, u)
 }
 
 // handleProbe reacts to a heartbeat from a NON-member: an evicted node
@@ -1163,7 +1163,7 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 	if addr == "" {
 		return // a stranger, not a former member: ignore
 	}
-	now := m.e.Net.Now()
+	now := m.e.Now()
 	if last := m.lastSummary[from]; last != 0 && now-last < 2*m.cfg.Heartbeat {
 		return
 	}
@@ -1173,7 +1173,7 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 			return
 		}
 	}
-	m.br.ExposePeer(from)
+	m.link.ExposePeer(from)
 	m.markHealStart(now)
 	rs := &msg.RingSummary{Group: m.e.Group, From: m.self, Epoch: m.epoch}
 	if q := m.e.QueueOf(m.self); q != nil {
@@ -1186,7 +1186,7 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 		rs.TokenEpoch, rs.TokenHops = te, th
 	}
 	m.trace("probe from evicted %v (epoch %d < %d): offering merge summary", from, epoch, m.epoch)
-	m.e.Net.Send(m.self, from, rs)
+	m.e.Link.Send(m.self, from, rs)
 }
 
 // handleRingSummary is the minority side of the heal handshake: a
@@ -1204,7 +1204,7 @@ func (m *Membership) handleRingSummary(rs *msg.RingSummary) {
 		m.e.DiscardTokenBelow(m.self, rs.TokenEpoch)
 	}
 	m.e.OnMultipleToken(m.self)
-	m.markHealStart(m.e.Net.Now())
+	m.markHealStart(m.e.Now())
 	mr := &msg.MergeReq{Group: m.e.Group, Node: m.self, Addr: m.addr, Epoch: m.epoch}
 	if q := m.e.QueueOf(m.self); q != nil {
 		mr.Front = q.Front()
@@ -1217,7 +1217,7 @@ func (m *Membership) handleRingSummary(rs *msg.RingSummary) {
 	}
 	m.trace("ring summary from %v (epoch %d > %d, front=%d): requesting merge",
 		rs.From, rs.Epoch, m.epoch, rs.Front)
-	m.e.Net.Send(m.self, rs.From, mr)
+	m.e.Link.Send(m.self, rs.From, mr)
 }
 
 // handleMergeReq stages a returning member for readmission at the next
@@ -1227,7 +1227,7 @@ func (m *Membership) handleMergeReq(mr *msg.MergeReq) {
 		return
 	}
 	if m.coordinator() != m.self {
-		m.e.Net.Send(m.self, m.coordinator(), mr)
+		m.e.Link.Send(m.self, m.coordinator(), mr)
 		return
 	}
 	if _, ok := m.members[mr.Node]; ok {
@@ -1242,7 +1242,7 @@ func (m *Membership) handleMergeReq(mr *msg.MergeReq) {
 			mr.Node, mr.Epoch, mr.Front, mr.OrderHash)
 	}
 	m.pendingMerge[mr.Node] = mr.Addr
-	m.coordinate(m.e.Net.Now())
+	m.coordinate(m.e.Now())
 }
 
 // handleJoinReq stages a joiner for the next quorum epoch (coordinator)
@@ -1253,7 +1253,7 @@ func (m *Membership) handleJoinReq(jr *msg.JoinReq) {
 		return
 	}
 	if m.coordinator() != m.self {
-		m.e.Net.Send(m.self, m.coordinator(), jr)
+		m.e.Link.Send(m.self, m.coordinator(), jr)
 		return
 	}
 	if _, ok := m.members[jr.Node]; ok {
@@ -1271,7 +1271,7 @@ func (m *Membership) handleJoinReq(jr *msg.JoinReq) {
 	}
 	m.pendingJoin[jr.Node] = jr.Addr
 	m.pendingJoinFront[jr.Node] = jr.Front
-	m.coordinate(m.e.Net.Now())
+	m.coordinate(m.e.Now())
 }
 
 // handleLeaveReq stages a gracefully-departing member's eviction
@@ -1281,15 +1281,15 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 		return
 	}
 	if m.coordinator() != m.self {
-		m.e.Net.Send(m.self, m.coordinator(), lr)
+		m.e.Link.Send(m.self, m.coordinator(), lr)
 		return
 	}
 	if _, ok := m.members[lr.Node]; !ok {
 		// Already evicted: the farewell may have been lost — answer the
 		// retry with the excluding epoch so the leaver can stand down.
 		if m.tr.HasPeer(lr.Node) {
-			m.br.ExposePeer(lr.Node)
-			m.e.Net.Send(m.self, lr.Node, m.currentUpdate())
+			m.link.ExposePeer(lr.Node)
+			m.e.Link.Send(m.self, lr.Node, m.currentUpdate())
 		}
 		return
 	}
@@ -1297,7 +1297,7 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 		m.trace("staging leave of %v for epoch %d", lr.Node, m.epoch+1)
 	}
 	m.pendingLeave[lr.Node] = true
-	m.coordinate(m.e.Net.Now())
+	m.coordinate(m.e.Now())
 }
 
 // applyUpdate applies a received epoch if it is newer than ours.
@@ -1394,7 +1394,7 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 		m.e.OnMultipleToken(m.self)
 	}
 	if wasLame {
-		now := m.e.Net.Now()
+		now := m.e.Now()
 		m.trace("rejoined quorum ring at epoch %d after %v lame", u.Epoch, now-m.lameSince)
 		m.exitLame(now, u.Baseline)
 	}
@@ -1421,14 +1421,14 @@ func (m *Membership) calibrate(peer seq.NodeID) {
 }
 
 // applyLocal makes the current member set real: topology ring, transport
-// peers, bridge endpoints, neighbor refresh, and severed state toward
+// peers, link peers, neighbor refresh, and severed state toward
 // removed members (who linger as lame ducks before retirement). Every
 // member's failure detector restarts with a fresh window — without
 // this, a merged-back member would be instantly re-suspected off its
 // pre-partition lastHeard.
 func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	h := m.e.H
-	now := m.e.Net.Now()
+	now := m.e.Now()
 	wasVirgin := m.ringID == 0 || h.Ring(m.ringID) == nil
 	for _, id := range m.order {
 		if id == m.self {
@@ -1446,7 +1446,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 				m.calibrate(id)
 			}
 		}
-		m.br.ExposePeer(id)
+		m.link.ExposePeer(id)
 		m.det.Forget(id)
 		m.det.Watch(id, now)
 		delete(m.graves, id)
@@ -1479,7 +1479,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 			if _, back := m.members[dead]; back {
 				return // rejoined meanwhile
 			}
-			m.br.RetirePeer(dead)
+			m.link.RetirePeer(dead)
 			m.tr.RemovePeer(dead)
 		})
 	}
